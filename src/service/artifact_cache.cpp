@@ -2,6 +2,7 @@
 
 #include <fcntl.h>
 #include <sys/file.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -182,34 +183,55 @@ std::uint64_t pick_victim(const Store<T>& store, double now_us,
 /// RAII flock over `path`: serialises the compute-and-save window of one
 /// artifact key across processes sharing a cache directory.  Lock files are
 /// tiny, live beside the artifacts (`.lock` extension, so the disk-cap
-/// enforcement never evicts them), and are left in place — flock state dies
-/// with the fd, not the file.  Failure to create or lock degrades to the
-/// old unlocked behaviour (duplicated work, never corruption: artifact
-/// writes stay atomic via write-then-rename).
+/// enforcement never sees them), and are unlinked on release, so none
+/// outlives its window.  Because a holder unlinks the path, a waiter may
+/// wake holding a lock on a file that is no longer (or no longer the one)
+/// at `path`; it then retries on the file that is there.  Failure to create
+/// or lock degrades to the old unlocked behaviour (duplicated work, never
+/// corruption: artifact writes stay atomic via write-then-rename).
 class FileLock {
  public:
   /// Returns true (and records whether the lock was contended in `waited`)
   /// when the exclusive lock is held on return.
   bool acquire(const std::filesystem::path& path, bool* waited) {
-    fd_ = ::open(path.c_str(), O_CREAT | O_RDWR | O_CLOEXEC, 0644);
-    if (fd_ < 0) return false;
-    if (::flock(fd_, LOCK_EX | LOCK_NB) == 0) return true;
-    if (waited) *waited = true;
-    while (::flock(fd_, LOCK_EX) != 0) {
-      if (errno != EINTR) {
-        ::close(fd_);
-        fd_ = -1;
+    for (;;) {
+      const int fd = ::open(path.c_str(), O_CREAT | O_RDWR | O_CLOEXEC, 0644);
+      if (fd < 0) return false;
+      if (::flock(fd, LOCK_EX | LOCK_NB) != 0) {
+        if (waited) *waited = true;
+        while (::flock(fd, LOCK_EX) != 0) {
+          if (errno != EINTR) {
+            ::close(fd);
+            return false;
+          }
+        }
+      }
+      struct stat held {};
+      struct stat named {};
+      if (::fstat(fd, &held) != 0) {
+        ::close(fd);
         return false;
       }
+      if (::stat(path.c_str(), &named) == 0 && held.st_dev == named.st_dev &&
+          held.st_ino == named.st_ino) {
+        fd_ = fd;
+        path_ = path;
+        return true;
+      }
+      ::close(fd);  // the holder we waited on unlinked it: lock the new one
     }
-    return true;
   }
   ~FileLock() {
-    if (fd_ >= 0) ::close(fd_);  // releases the flock
+    if (fd_ < 0) return;
+    // Unlink while still holding the lock, so no process can open this
+    // inode by name and lock it after the close below.
+    ::unlink(path_.c_str());
+    ::close(fd_);
   }
 
  private:
   int fd_ = -1;
+  std::filesystem::path path_;
 };
 
 }  // namespace
