@@ -1,8 +1,11 @@
 #include "service/inputs.h"
 
+#include <sstream>
 #include <utility>
 
+#include "core/projector.h"
 #include "io/persist.h"
+#include "io/record.h"
 #include "obs/metrics.h"
 #include "support/error.h"
 
@@ -39,6 +42,31 @@ void Inputs::export_phases(const std::string& prefix,
     obs::Gauge(prefix + ".phase_s." + p.phase).set(p.seconds);
     obs::Histogram(prefix + ".phase_us." + p.phase).observe(p.seconds * 1e6);
   }
+}
+
+std::string Inputs::app_key_material(const std::string& canonical,
+                                     const core::AppBaseData& data) {
+  if (!canonical.empty()) return canonical;
+  std::ostringstream os;
+  io::write_app_data(os, data);
+  return "app-content:" + fingerprint_hex(fingerprint(os.str()));
+}
+
+std::string Inputs::surrogate_key(
+    const std::string& library_key, const std::string& app_material,
+    const std::string& target, int search_ck, int threads,
+    const core::ComputeProjectionOptions& options) {
+  std::ostringstream key;
+  key << library_key << app_material;
+  {
+    io::RecordWriter w(key, "swapp-search-inputs", 1);
+    w.row("search")
+        .field(target)
+        .field(search_ck)
+        .field(threads)
+        .field(core::compute_options_key(options));
+  }
+  return key.str();
 }
 
 Inputs::Inputs(machine::Machine base, std::vector<machine::Machine> targets,

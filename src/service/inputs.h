@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "core/compute_projection.h"
 #include "core/profiles.h"
 #include "imb/suite.h"
 #include "machine/machine.h"
@@ -102,6 +103,22 @@ class Inputs {
   /// wall-clock without parsing stderr.
   static void export_phases(const std::string& prefix,
                             const std::vector<PhaseTime>& phases);
+
+  /// Cache-key material identifying an application.  Collector-backed apps
+  /// use their registered canonical inputs; a file-backed profile (empty
+  /// `canonical`) is content-addressed, since its registration carries no
+  /// input description.
+  static std::string app_key_material(const std::string& canonical,
+                                      const core::AppBaseData& data);
+  /// The surrogate cache key of one GA search (see
+  /// ArtifactCache::surrogate_projection): everything the search consumed —
+  /// the library's input description `library_key`, the app's
+  /// `app_material` and the search shape.  Batch rows and sweep points
+  /// agree on a key iff they agree on those inputs.
+  static std::string surrogate_key(
+      const std::string& library_key, const std::string& app_material,
+      const std::string& target, int search_ck, int threads,
+      const core::ComputeProjectionOptions& options);
 
   /// An artifact fetched by one of the acquisition helpers.
   template <typename T>

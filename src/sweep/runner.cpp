@@ -4,8 +4,6 @@
 #include <sstream>
 #include <utility>
 
-#include "io/persist.h"
-#include "io/record.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "support/error.h"
@@ -41,19 +39,6 @@ machine::Machine imb_representative(const machine::Machine& member,
   rep.memory_per_core = original.memory_per_core;
   rep.name = original.name + "~m" + machine::config_fingerprint(rep);
   return rep;
-}
-
-/// Cache-key material identifying the application a surrogate was searched
-/// for.  Collector-backed apps use their registered canonical inputs;
-/// file-backed profiles are content-addressed (the file bypassed collection,
-/// so its registration carries no input description).
-std::string app_key_material(const std::string& canonical,
-                             const core::AppBaseData& data) {
-  if (!canonical.empty()) return canonical;
-  std::ostringstream os;
-  io::write_app_data(os, data);
-  return "app-content:" +
-         service::fingerprint_hex(service::fingerprint(os.str()));
 }
 
 }  // namespace
@@ -175,26 +160,14 @@ SweepRunner::SweepReport SweepRunner::run(const SweepSpec& spec) {
                                                   base_occ, target_occ);
                   });
 
-          // The surrogate key carries everything the search consumed: the
-          // library's full input description, the app's identity, and the
-          // search shape (see ArtifactCache::surrogate_projection).
-          std::ostringstream key;
-          key << lib.key << app_material;
-          {
-            io::RecordWriter w(key, "swapp-search-inputs", 1);
-            w.row("search")
-                .field(rep_name)
-                .field(s.search_ck)
-                .field(spec.threads)
-                .field(core::compute_options_key(spec.options.compute));
-          }
           SearchGet got;
           std::ostringstream label;
           label << "surrogate (" << spec.app << " @ " << rep_name << " / "
                 << s.search_ck << ")";
           got.label = label.str();
           got.surrogate = cache().surrogate_projection(
-              key.str(),
+              surrogate_key(lib.key, app_material, rep_name, s.search_ck,
+                            spec.threads, spec.options.compute),
               [&] {
                 searches_run.fetch_add(1, std::memory_order_relaxed);
                 return core::project_compute(app, *index, base(),
