@@ -22,12 +22,6 @@ std::string compute_options_key(const ComputeProjectionOptions& o) {
   return ss.str();
 }
 
-std::size_t ProjectionPlan::searches() const {
-  std::size_t n = shared_searches.size();
-  for (const Cell& cell : cells) n += cell.search == kNone;
-  return n;
-}
-
 ComputeProjection rescale_reference(const ComputeProjection& at_reference,
                                     const AppBaseData& app, int reference_ck,
                                     int ck) {
@@ -77,17 +71,6 @@ std::pair<int, int> Projector::occupancies_for(
   return {base_occ, target_occ};
 }
 
-ComputeProjection Projector::compute_component(
-    const AppBaseData& app, int ck, const ComputeProjectionOptions& options,
-    const SpecIndex& index, const ComputeProjection* shared_reference) const {
-  if (shared_reference == nullptr) {
-    return project_compute(app, index, base_, ck, options);
-  }
-  const int reference = options.surrogate_reference_cores;
-  if (reference == ck) return *shared_reference;
-  return rescale_reference(*shared_reference, app, reference, ck);
-}
-
 CommProjection Projector::comm_component(const AppBaseData& app,
                                          const std::string& target_machine,
                                          int ck, double compute_scale,
@@ -128,7 +111,7 @@ ProjectionResult Projector::project(const AppBaseData& app,
 ProjectionPlan Projector::plan_many(
     const std::vector<ProjectionRequest>& requests) const {
   ProjectionPlan plan;
-  plan.cells.resize(requests.size());
+  plan.search_of.resize(requests.size());
   std::map<std::string, std::size_t> index_slots;
   std::map<std::string, std::size_t> search_slots;
   for (std::size_t i = 0; i < requests.size(); ++i) {
@@ -148,24 +131,21 @@ ProjectionPlan Projector::plan_many(
     if (index_is_new) {
       plan.indexes.push_back({r.target, base_occ, target_occ});
     }
-    plan.cells[i].index = index_it->second;
 
-    if (reference > 0) {
-      // Requests share a search iff they read the same app data (by
-      // address: the caller's one copy of an artifact), target, reference
-      // count and search-shaping options.
-      std::ostringstream key;
-      key << static_cast<const void*>(r.app) << '|' << r.target << '|'
-          << reference << '|' << r.app->threads_per_rank << '|'
-          << compute_options_key(r.options.compute);
-      const auto [search_it, search_is_new] =
-          search_slots.emplace(key.str(), plan.shared_searches.size());
-      if (search_is_new) {
-        plan.shared_searches.push_back({r.app, r.target, reference,
-                                        r.options.compute, index_it->second});
-      }
-      plan.cells[i].search = search_it->second;
+    // Requests share a search iff they read the same app data (by address:
+    // the caller's one copy of an artifact), target, search count, threads
+    // and search-shaping options.
+    std::ostringstream key;
+    key << static_cast<const void*>(r.app) << '|' << r.target << '|'
+        << search_ck << '|' << r.app->threads_per_rank << '|'
+        << compute_options_key(r.options.compute);
+    const auto [search_it, search_is_new] =
+        search_slots.emplace(key.str(), plan.shared_searches.size());
+    if (search_is_new) {
+      plan.shared_searches.push_back(
+          {r.app, r.target, search_ck, r.options.compute, index_it->second});
     }
+    plan.search_of[i] = search_it->second;
   }
   return plan;
 }
@@ -176,11 +156,11 @@ std::vector<ProjectionResult> Projector::project_many(
 }
 
 std::vector<ProjectionResult> Projector::project_many(
-    const std::vector<ProjectionRequest>& requests,
-    const ProjectionPlan& plan) const {
+    const std::vector<ProjectionRequest>& requests, const ProjectionPlan& plan,
+    const SearchSource& source) const {
   SWAPP_SPAN("projector.project_many");
   SWAPP_COUNT("projector.batch_requests", requests.size());
-  SWAPP_REQUIRE(plan.cells.size() == requests.size(),
+  SWAPP_REQUIRE(plan.search_of.size() == requests.size(),
                 "projection plan does not match the requests");
   // Tier 1: spec indexes (independent flattenings).
   std::vector<SpecIndex> indexes;
@@ -192,15 +172,18 @@ std::vector<ProjectionResult> Projector::project_many(
                               job.target_occ);
     });
   }
-  // Tier 2: shared surrogate searches (independent; the GA's own restart
-  // fan-out degrades to serial inside this region).
-  std::vector<ComputeProjection> shared;
+  // Tier 2: surrogate searches (independent; the GA's own restart fan-out
+  // degrades to serial inside this region).
+  std::vector<ComputeProjection> searched;
   {
     SWAPP_SPAN("projector.shared_searches");
-    shared = parallel_map(
+    searched = parallel_map(
         plan.shared_searches, [&](const ProjectionPlan::Search& job) {
-          return project_compute(*job.app, indexes[job.index], base_,
-                                 job.reference, job.options);
+          const auto run = [&] {
+            return project_compute(*job.app, indexes[job.index], base_,
+                                   job.search_ck, job.options);
+          };
+          return source ? source(job, run) : run();
         });
   }
   // Tier 3: the requests themselves, merged in input order.
@@ -209,15 +192,19 @@ std::vector<ProjectionResult> Projector::project_many(
   std::iota(ids.begin(), ids.end(), 0);
   return parallel_map(ids, [&](std::size_t i) {
     const ProjectionRequest& r = requests[i];
-    const ProjectionPlan::Cell& cell = plan.cells[i];
+    const std::size_t slot = plan.search_of[i];
     ProjectionResult out;
     out.app = r.app->app;
     out.target = r.target;
     out.cores = r.cores;
-    const ComputeProjection* reference =
-        cell.search != ProjectionPlan::kNone ? &shared[cell.search] : nullptr;
-    out.compute = compute_component(*r.app, r.cores, r.options.compute,
-                                    indexes[cell.index], reference);
+    // At the search count itself the search is the answer; elsewhere it
+    // rides the reference rescale.
+    const int search_ck = plan.shared_searches[slot].search_ck;
+    const ComputeProjection& surrogate = searched[slot];
+    out.compute = search_ck == r.cores
+                      ? surrogate
+                      : rescale_reference(surrogate, *r.app, search_ck,
+                                          r.cores);
     out.comm = comm_component(*r.app, r.target, r.cores,
                               out.compute.compute_scale(), r.options);
     return out;
