@@ -48,6 +48,4 @@ double Rng::normal(double mean, double stddev) noexcept {
   return mean + stddev * normal();
 }
 
-Rng Rng::split() noexcept { return Rng((*this)() ^ 0xa5a5a5a5a5a5a5a5ULL); }
-
 }  // namespace swapp

@@ -9,8 +9,8 @@
 // implementations by Blackman & Vigna.
 //
 // The draws a GA generation makes by the thousand (the raw word, uniform,
-// below, chance) are inline here; seeding, range, normal and split stay out
-// of line in rng.cpp.
+// below, chance) are inline here; seeding, range and normal stay out of line
+// in rng.cpp.
 #pragma once
 
 #include <array>
@@ -88,9 +88,6 @@ class Rng {
 
   /// Bernoulli draw with probability `p` of true.
   bool chance(double p) noexcept { return uniform() < p; }
-
-  /// Derives an independent child generator (for per-rank streams).
-  Rng split() noexcept;
 
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {

@@ -126,12 +126,6 @@ TEST(Rng, NormalMoments) {
   EXPECT_NEAR(s.stddev(), 1.0, 0.03);
 }
 
-TEST(Rng, SplitDecorrelates) {
-  Rng a(99);
-  Rng child = a.split();
-  EXPECT_NE(a(), child());
-}
-
 TEST(Parse, PositiveDecimalAcceptsOnlyDigits) {
   EXPECT_EQ(parse_positive_decimal("1"), 1);
   EXPECT_EQ(parse_positive_decimal("0042"), 42);
