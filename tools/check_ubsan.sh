@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
-# Builds the observability and server test suites under
-# UndefinedBehaviorSanitizer and runs them directly.  The always-on metrics
-# path converts observed doubles to log2 bucket indexes (a clamped
-# float-to-int conversion and a bit-width shift), and the stats endpoint
-# decodes length-prefixed frames from the wire — exactly the arithmetic and
-# parsing UBSan is good at catching (shift overflow, float-to-int conversion
-# out of range, misaligned loads).
-# Usage: tools/check_ubsan.sh [extra gtest args passed to both binaries].
+# Builds the whole test suite under UndefinedBehaviorSanitizer and runs it
+# through ctest.  The always-on metrics path converts observed doubles to
+# log2 bucket indexes (a clamped float-to-int conversion and a bit-width
+# shift), the stats endpoint decodes length-prefixed frames from the wire,
+# and the GA, simulator and persistence layers do their own bit-level
+# arithmetic and parsing — exactly what UBSan is good at catching (shift
+# overflow, float-to-int conversion out of range, misaligned loads).
+# Usage: tools/check_ubsan.sh [extra ctest args].
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
@@ -15,7 +15,6 @@ BUILD="${ROOT}/build-ubsan"
 cmake -B "${BUILD}" -S "${ROOT}" \
   -DSWAPP_SANITIZE=undefined \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build "${BUILD}" -j "$(nproc)" --target test_obs test_server
+cmake --build "${BUILD}" -j "$(nproc)"
 
-"${BUILD}/tests/test_obs" "$@"
-"${BUILD}/tests/test_server" "$@"
+ctest --test-dir "${BUILD}" --output-on-failure "$@"
