@@ -8,7 +8,9 @@
 // churn), keeps a bounded in-memory tier per kind, and, when a cache
 // directory is configured, persists the kinds io/persist can round-trip
 // (IMB databases, spec libraries, app profiles, surrogate projections) so a
-// later process can skip simulation — and the GA search — entirely.  Spec
+// later process can skip simulation — and the GA search — entirely.  Every
+// GA search of a batch, a served request or a sweep point resolves through
+// the surrogate kind, under one key builder (Inputs::surrogate_key).  Spec
 // indexes are cheap to rebuild relative to their inputs and stay
 // memory-only.
 //
@@ -16,8 +18,10 @@
 // a per-key flock lock file, so concurrent standalone processes sharing one
 // cache directory compute each artifact once instead of racing (the loser
 // of the race re-probes the disk after acquiring the lock and finds the
-// winner's file).  The resident daemon is unaffected — it already owns its
-// directory, so its locks are always uncontended.
+// winner's file).  A lock file is unlinked when its lock is released, so
+// the directory holds only artifacts between misses.  The resident daemon
+// is unaffected — it already owns its directory, so its locks are always
+// uncontended.
 //
 // Correctness stance: values are returned as shared_ptr-to-const, so an
 // entry evicted while in use stays alive for its holders; a corrupted or

@@ -6,8 +6,9 @@
 // rows and lists those inputs — the apps, the targets and the task counts
 // the SPEC library must cover — so the service fetches each once before
 // projecting.  Sharing *between* rows (one indexed spec view per (target,
-// occupancy) pair, one GA surrogate search per (app, target, reference,
-// options) group) is planned by the engine, `core::Projector::plan_many`;
+// occupancy) pair, one GA surrogate search per (app, target, search count,
+// threads, options) group) is planned by the engine,
+// `core::Projector::plan_many`;
 // the service copies that plan's search counts into the batch plan, so the
 // numbers it reports are those of the plan that ran.
 #pragma once
@@ -39,9 +40,10 @@ struct BatchPlan {
   /// surrogate reference demands) — what the SPEC library must cover.
   std::vector<int> task_counts;
 
-  /// GA surrogate searches the batch ran after dedup, and the searches N
-  /// independent `project` calls would have run: copied from the engine's
-  /// plan (core::ProjectionPlan) when the batch projects.
+  /// GA surrogate searches the batch planned after dedup (the surrogate
+  /// cache may serve some), and the searches N independent `project` calls
+  /// would have run: copied from the engine's plan (core::ProjectionPlan)
+  /// when the batch projects.
   std::size_t searches = 0;
   std::size_t naive_searches = 0;
 

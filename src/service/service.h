@@ -4,10 +4,12 @@
 // A `ProjectionService` is an `Inputs` (inputs.h: machines, artifact cache,
 // collectors, app registry) that projects batches.  `run` takes a batch of
 // `ServiceRequest` rows, plans what they need (planner.h), acquires the
-// shared inputs through the content-addressed cache — so a warm cache
-// directory satisfies a whole batch with zero simulation — and projects the
-// batch through `Projector::project_many`, whose results are byte-identical
-// to N sequential `Projector::project` calls at every thread count.
+// shared inputs through the content-addressed cache and projects the batch
+// through `Projector::project_many`, whose results are byte-identical to N
+// sequential `Projector::project` calls at every thread count.  Each GA
+// search resolves through the cache's surrogate kind too, under the key a
+// sweep point with no axes writes, so a warm cache directory satisfies a
+// whole batch with zero simulation and zero GA searches.
 #pragma once
 
 #include <vector>
@@ -40,7 +42,8 @@ class ProjectionService : public Inputs {
     std::vector<core::ProjectionResult> results;
     BatchPlan plan;
     // Report::phases: plan, spec-library, imb-databases, app-profiles,
-    // projection.
+    // projection.  Report::artifacts ends with one surrogate note per
+    // planned search.
   };
 
   /// Plans, acquires artifacts, projects.  Throws NotFound for requests
