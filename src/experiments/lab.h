@@ -108,10 +108,10 @@ class Lab {
   };
 
   /// Batched `error_row`: all projections go through the batch engine
-  /// (`Projector::project_many`, sharing indexed spec views and — when the
-  /// options pin a reference count — surrogate searches), and the
-  /// ground-truth runs fan out over the pool.  rows[i] is byte-identical to
-  /// `error_row(queries[i]...)` at every thread count.
+  /// (`Projector::project_many`, sharing indexed spec views and the
+  /// surrogate searches of identical rows or of one reference count), and
+  /// the ground-truth runs fan out over the pool.  rows[i] is
+  /// byte-identical to `error_row(queries[i]...)` at every thread count.
   std::vector<ErrorRow> error_rows(const std::vector<RowQuery>& queries,
                                    const core::ProjectionOptions& options = {});
 
