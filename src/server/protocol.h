@@ -57,8 +57,7 @@ struct ResultRow {
   double total_s = 0.0;
 };
 
-/// Wall-clock of one service phase of the (coalesced) batch this request
-/// rode in.
+/// Wall-clock of one service phase of the run that served this request.
 struct PhaseRow {
   std::string phase;
   double seconds = 0.0;
@@ -89,7 +88,7 @@ Response decode_response(const std::string& payload);
 // A second request document kind rides the same framing: a "swapp-stats" v1
 // document whose single row is `query "stats"` or `query "health"`.  The
 // server answers these *inline on the connection thread* — they never enter
-// the admission queue, so introspection works even while a coalesced batch
+// the admission queue, so introspection works even while a batch
 // occupies the scheduler, and never pauses request processing.  The answer
 // is a "swapp-stats-result" v1 document:
 //
@@ -132,8 +131,8 @@ StatsRequest classify_stats_request(const std::string& payload);
 // sweep specification (sweep/sweep.h) — byte-for-byte the `swapp sweep
 // --spec` file.  Sweeps pass through the same admission queue as batches and
 // execute in scheduler turns against the resident cache, so a sweep and the
-// batches it coalesces with share spec libraries, IMB databases, profiles,
-// and persisted surrogates.  The answer is a "swapp-sweep-result" v1
+// batches around it share spec libraries, IMB databases, profiles, and
+// persisted surrogates.  The answer is a "swapp-sweep-result" v1
 // document (sweep/result.h), or a plain error response on failure — clients
 // sniff with sweep::is_sweep_result.
 
@@ -155,11 +154,11 @@ struct StatsReport {
   double uptime_s = 0.0;
   std::uint64_t queue_depth = 0;
   std::uint64_t queue_capacity = 0;
-  std::uint64_t inflight_batches = 0;  ///< coalesced runs executing now
+  std::uint64_t inflight_batches = 0;  ///< batch or sweep runs executing now
   std::uint64_t inflight_rows = 0;     ///< projection rows in those runs
   std::uint64_t connections = 0;
   std::uint64_t requests = 0;  ///< projection rows served, lifetime
-  std::uint64_t batches = 0;   ///< coalesced runs, lifetime
+  std::uint64_t batches = 0;   ///< batch and sweep runs, lifetime
   std::uint64_t busy_rejections = 0;
   std::uint64_t protocol_errors = 0;
   std::uint64_t stats_requests = 0;

@@ -11,20 +11,19 @@
 //     queue.  Past `max_queue` pending batches the reader answers with a
 //     typed `busy` response instead of queueing — backpressure is explicit
 //     and immediate, never an unbounded buffer.
-//   * One scheduler, which drains *everything* queued at once and executes
-//     it as a single coalesced `ProjectionService` run.  Batches that arrive
-//     while a run is in flight pile up and form the next coalesced run, so
-//     the batch plan's dedup (shared spec indexes, shared GA surrogate
-//     searches) works across clients that never heard of each other.
+//   * One scheduler, which pops one admitted request at a time and runs it
+//     alone: a batch as one `ProjectionService` run over its own rows, a
+//     sweep through a per-request `sweep::SweepRunner`.  Each reply carries
+//     its own run's phases and artifact notes, and a run-time failure fails
+//     only its own request.
 //
 // All runs share one resident `ArtifactCache` (ServiceConfig::shared_cache),
 // making the daemon the single process that touches the cache directory —
 // concurrent clients can no longer redundantly recompute an artifact the way
-// concurrent `swapp batch` processes can.  "swapp-sweep" requests ride the
-// same admission queue and execute in scheduler turns through a per-request
-// `sweep::SweepRunner` against that same resident cache, so a sweep shares
-// spec libraries, IMB databases, app profiles, and persisted surrogates with
-// the ordinary batches around it.
+// concurrent `swapp batch` processes can.  Clients share work through that
+// cache: a request for a row reads the surrogate an earlier request's GA
+// search wrote, and batches and sweeps share spec libraries, IMB databases,
+// app profiles, and persisted surrogates.
 //
 // Shutdown is graceful by construction: a byte written to `shutdown_fd()`
 // (async-signal-safe, exactly what the CLI's SIGINT/SIGTERM handler does)
@@ -59,10 +58,6 @@ struct ServerConfig {
   /// Largest request frame accepted; bigger announcements get a typed
   /// `oversized` response (the connection survives).
   std::size_t max_request_bytes = std::size_t{1} << 20;
-  /// The scheduler waits until at least this many batches are queued before
-  /// draining (shutdown drains regardless).  1 — the default — adds no
-  /// latency; tests raise it to force deterministic cross-client coalescing.
-  std::size_t coalesce_min = 1;
   /// Hard cap on a served sweep's expanded point count; specs beyond it are
   /// rejected at admission as `bad-request` (checked on the multiplicities
   /// alone, before any expansion).
@@ -84,7 +79,7 @@ class Server {
  public:
   /// Configures one freshly-built per-batch ProjectionService: install
   /// collectors and register every app named by `rows`.  Runs on the
-  /// scheduler thread, once per coalesced batch.
+  /// scheduler thread, once per served batch.
   using ServiceSetup = std::function<void(
       service::ProjectionService&, const std::vector<service::BatchRow>&)>;
   /// Admission-time row check, run on connection threads before queueing;
@@ -134,7 +129,7 @@ class Server {
   // carry the same numbers when enabled).
   std::uint64_t connections_accepted() const noexcept;
   std::uint64_t requests_served() const noexcept;  ///< projection rows
-  std::uint64_t batches_run() const noexcept;      ///< coalesced runs
+  std::uint64_t batches_run() const noexcept;  ///< batches and sweeps run
   std::uint64_t busy_rejections() const noexcept;
   std::uint64_t protocol_errors() const noexcept;
 

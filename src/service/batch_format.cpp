@@ -58,4 +58,14 @@ ServiceRequest to_service_request(const BatchRow& row) {
   return request;
 }
 
+std::vector<machine::Machine> row_targets(const std::vector<BatchRow>& rows) {
+  std::vector<machine::Machine> targets;
+  for (const BatchRow& row : rows) {
+    bool known = false;
+    for (const machine::Machine& t : targets) known |= t.name == row.target;
+    if (!known) targets.push_back(machine::machine_by_name(row.target));
+  }
+  return targets;
+}
+
 }  // namespace swapp::service

@@ -44,4 +44,9 @@ void write_batch_requests(std::ostream& out, const std::vector<BatchRow>& rows);
 /// The engine-facing request for one row.
 ServiceRequest to_service_request(const BatchRow& row);
 
+/// The machines `rows` name, each once, in first-appearance order: the
+/// target list a batch's service is built with.  Throws NotFound for an
+/// unknown machine name.
+std::vector<machine::Machine> row_targets(const std::vector<BatchRow>& rows);
+
 }  // namespace swapp::service

@@ -50,18 +50,6 @@ class ProjectionService : public Inputs {
   /// naming unregistered apps or unconfigured targets.
   BatchReport run(const std::vector<ServiceRequest>& requests);
 
-  /// Several independent batches planned and executed as one run, so the
-  /// engine's dedup (shared spec indexes, shared GA searches) works across
-  /// them — the server's coalescing entry point, where each slice is one
-  /// client's batch.
-  struct CoalescedReport {
-    BatchReport combined;  ///< the one planned run over every slice
-    /// slices[i] holds the results for batches[i], in that batch's order.
-    std::vector<std::vector<core::ProjectionResult>> slices;
-  };
-  CoalescedReport run_coalesced(
-      const std::vector<std::vector<ServiceRequest>>& batches);
-
  private:
   std::vector<int> spec_task_counts_;
 };

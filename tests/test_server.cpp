@@ -1,16 +1,18 @@
 // Tests for the projection server: flag parsing, frame round-trips over a
 // socketpair (truncation, oversize, garbage payloads), and a live server —
-// admission backpressure, error containment on a shared connection,
-// cross-client coalescing (one planned run, deduplicated GA searches), and
-// graceful shutdown that drains in-flight work.
+// admission backpressure, error containment on a shared connection and
+// between queued requests, clients sharing GA searches through the resident
+// cache, and graceful shutdown that drains in-flight work.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <chrono>
+#include <condition_variable>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <sstream>
 #include <thread>
 
@@ -226,6 +228,48 @@ bool eventually(Predicate done) {
   return false;
 }
 
+/// Holds the server's scheduler inside the first batch it runs: the wrapped
+/// ServiceSetup parks there until `open()`, so a test can queue requests
+/// behind a run in flight deterministically.  Declare a `Release` after the
+/// server, so a failed assertion still opens the gate before the server's
+/// destructor drains the queue.
+class SchedulerGate {
+ public:
+  server::Server::ServiceSetup around(server::Server::ServiceSetup setup) {
+    return [this, setup](service::ProjectionService& svc,
+                         const std::vector<service::BatchRow>& rows) {
+      {
+        std::unique_lock<std::mutex> lock(mutex_);
+        parked_ = true;
+        cv_.wait(lock, [&] { return open_; });
+      }
+      setup(svc, rows);
+    };
+  }
+  bool parked() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return parked_;
+  }
+  void open() {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+
+  struct Release {
+    SchedulerGate& gate;
+    ~Release() { gate.open(); }
+  };
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  bool parked_ = false;
+  bool open_ = false;
+};
+
 /// Live-server fixture: one cache directory per suite, so the first test
 /// collects the (small-grid) artifacts cold and every later test runs warm
 /// through each server's resident cache over the same directory — which also
@@ -291,11 +335,12 @@ class ServerTest : public ::testing::Test {
     return cfg;
   }
 
-  static std::string lu_request(int tasks, int reference) {
+  static std::string lu_request(int tasks, int reference, int threads = 1) {
     service::BatchRow row;
     row.app = "LU/C";
     row.target = machine::make_power6_575().name;
     row.tasks = tasks;
+    row.threads = threads;
     row.reference = reference;
     std::ostringstream payload;
     service::write_batch_requests(payload, {row});
@@ -420,17 +465,24 @@ TEST_F(ServerTest, TruncatedFrameClosesConnectionButServerSurvives) {
 TEST_F(ServerTest, FullQueueRejectsWithBusy) {
   server::ServerConfig cfg = config("busy.sock");
   cfg.max_queue = 1;
-  // The scheduler holds out for three queued batches (which never arrive),
-  // so the first admitted batch parks in the queue deterministically.
-  cfg.coalesce_min = 3;
-  server::Server srv(machine::make_power5_hydra(), cfg, cheap_setup(),
-                     &only_lu);
+  // The scheduler parks inside the first batch, so the second admitted
+  // batch sits in the queue's only slot deterministically.
+  SchedulerGate gate;
+  server::Server srv(machine::make_power5_hydra(), cfg,
+                     gate.around(cheap_setup()), &only_lu);
+  SchedulerGate::Release release{gate};
   srv.start();
 
-  server::Response first;
-  std::thread admitted([&] {
+  server::Response running;
+  server::Response queued;
+  std::thread first([&] {
     server::Client client(cfg.socket_path);
-    first = client.call(lu_request(8, 16));
+    running = client.call(lu_request(8, 16));
+  });
+  ASSERT_TRUE(eventually([&] { return gate.parked(); }));
+  std::thread second([&] {
+    server::Client client(cfg.socket_path);
+    queued = client.call(lu_request(8, 16));
   });
   // Wait until that batch occupies the queue's only slot, then overflow it.
   ASSERT_TRUE(eventually([&] { return srv.queue_depth() == 1; }));
@@ -443,32 +495,42 @@ TEST_F(ServerTest, FullQueueRejectsWithBusy) {
   }
   EXPECT_EQ(srv.busy_rejections(), 1u);
 
-  // Shutdown drains the parked batch: its client still gets an answer.
+  // Shutdown drains the queued batch: its client still gets an answer.
   srv.request_stop();
+  gate.open();
   srv.wait();
-  admitted.join();
-  ASSERT_TRUE(first.ok) << first.message;
-  EXPECT_EQ(first.results.size(), 1u);
+  first.join();
+  second.join();
+  ASSERT_TRUE(running.ok) << running.message;
+  ASSERT_TRUE(queued.ok) << queued.message;
+  EXPECT_EQ(queued.results.size(), 1u);
 }
 
-TEST_F(ServerTest, CoalescesConcurrentClientsIntoOnePlannedRun) {
+TEST_F(ServerTest, SecondClientsRowComesFromTheResidentCache) {
   obs::reset_metrics();
   obs::set_metrics_enabled(true);
-  server::ServerConfig cfg = config("coalesce.sock");
-  cfg.coalesce_min = 2;  // force the two clients into one run
-  server::Server srv(machine::make_power5_hydra(), cfg, cheap_setup(),
-                     &only_lu);
+  // A cache directory of its own: the first client's search must run here.
+  server::ServerConfig cfg = config("resident.sock");
+  cfg.service.cache_dir = *dir_ / "resident-cache";
+  SchedulerGate gate;
+  server::Server srv(machine::make_power5_hydra(), cfg,
+                     gate.around(cheap_setup()), &only_lu);
+  SchedulerGate::Release release{gate};
   srv.start();
 
+  // The second client's identical row queues behind the first one's run.
   server::Response r1, r2;
   std::thread a([&] {
     server::Client client(cfg.socket_path);
     r1 = client.call(lu_request(8, 16));
   });
+  ASSERT_TRUE(eventually([&] { return gate.parked(); }));
   std::thread b([&] {
     server::Client client(cfg.socket_path);
-    r2 = client.call(lu_request(16, 16));
+    r2 = client.call(lu_request(8, 16));
   });
+  ASSERT_TRUE(eventually([&] { return srv.queue_depth() == 1; }));
+  gate.open();
   a.join();
   b.join();
   srv.request_stop();
@@ -478,23 +540,78 @@ TEST_F(ServerTest, CoalescesConcurrentClientsIntoOnePlannedRun) {
   ASSERT_TRUE(r2.ok) << r2.message;
   ASSERT_EQ(r1.results.size(), 1u);
   ASSERT_EQ(r2.results.size(), 1u);
-  EXPECT_EQ(r1.results[0].tasks, 8);
-  EXPECT_EQ(r2.results[0].tasks, 16);
-  // One coalesced run served both clients...
-  EXPECT_EQ(srv.batches_run(), 1u);
+  EXPECT_EQ(r1.results[0].total_s, r2.results[0].total_s);
+  // Each request ran alone...
+  EXPECT_EQ(srv.batches_run(), 2u);
   EXPECT_EQ(srv.requests_served(), 2u);
-  // ...and the planner deduplicated the shared GA search: both rows ask for
-  // the same (app, target) group at reference 16, so two naive searches
-  // collapse into one.
+  // ...and the second read the surrogate the first one's search wrote.
+  const auto surrogate_source = [](const server::Response& r) {
+    std::string source;
+    for (const server::ArtifactRow& note : r.artifacts) {
+      if (note.name.rfind("surrogate (", 0) == 0) source += note.source + ";";
+    }
+    return source;
+  };
+  EXPECT_EQ(surrogate_source(r1), "computed;");
+  EXPECT_EQ(surrogate_source(r2), "memory cache;");
   const obs::MetricsSnapshot snapshot = obs::metrics_snapshot();
-  const obs::CounterValue* searches = snapshot.counter("planner.searches");
-  const obs::CounterValue* naive = snapshot.counter("planner.naive_searches");
+  const obs::CounterValue* searches = snapshot.counter("ga.searches");
   ASSERT_NE(searches, nullptr);
-  ASSERT_NE(naive, nullptr);
   EXPECT_EQ(searches->value, 1u);
-  EXPECT_EQ(naive->value, 2u);
   obs::set_metrics_enabled(false);
   obs::reset_metrics();
+}
+
+TEST_F(ServerTest, RunFailureFailsOnlyItsOwnRequest) {
+  // Both requests pass admission, but the profile registered for LU/C is
+  // single-threaded, so the two-thread request fails when it runs.  The
+  // valid request queued with it still gets its own answer.
+  server::ServerConfig cfg = config("isolate.sock");
+  SchedulerGate gate;
+  server::Server srv(machine::make_power5_hydra(), cfg,
+                     gate.around(cheap_setup()), &only_lu);
+  SchedulerGate::Release release{gate};
+  srv.start();
+
+  server::Response held, bad, good;
+  std::thread holder([&] {
+    server::Client client(cfg.socket_path);
+    held = client.call(lu_request(8, 16));
+  });
+  ASSERT_TRUE(eventually([&] { return gate.parked(); }));
+  std::thread bad_client([&] {
+    server::Client client(cfg.socket_path);
+    bad = client.call(lu_request(16, 0, /*threads=*/2));
+  });
+  ASSERT_TRUE(eventually([&] { return srv.queue_depth() == 1; }));
+  std::thread good_client([&] {
+    server::Client client(cfg.socket_path);
+    good = client.call(lu_request(4, 0));
+  });
+  ASSERT_TRUE(eventually([&] { return srv.queue_depth() == 2; }));
+  gate.open();
+  holder.join();
+  bad_client.join();
+  good_client.join();
+  srv.request_stop();
+  srv.wait();
+
+  EXPECT_TRUE(held.ok) << held.message;
+  ASSERT_FALSE(bad.ok);
+  EXPECT_EQ(bad.error, server::ErrorCode::kInternal);
+  EXPECT_NE(bad.message.find("thread count"), std::string::npos)
+      << bad.message;
+  ASSERT_TRUE(good.ok) << good.message;
+  ASSERT_EQ(good.results.size(), 1u);
+  EXPECT_EQ(good.results[0].tasks, 4);
+  // Its artifact notes are its own run's: one search, at its own 4 tasks.
+  std::vector<std::string> surrogates;
+  for (const server::ArtifactRow& a : good.artifacts) {
+    if (a.name.rfind("surrogate (", 0) == 0) surrogates.push_back(a.name);
+  }
+  EXPECT_EQ(surrogates, std::vector<std::string>{
+                            "surrogate (LU-MZ.C @ IBM POWER6 575 / 4)"});
+  EXPECT_EQ(srv.requests_served(), 2u);
 }
 
 TEST_F(ServerTest, DrainingServerAnswersShuttingDown) {
@@ -694,24 +811,30 @@ TEST_F(ServerTest, StatsEndpointReportsQueueInflightAndWindowedLatency) {
 }
 
 TEST_F(ServerTest, StatsRequestsBypassTheAdmissionQueue) {
-  // Hold the scheduler back so the queue stays occupied, then show a stats
-  // probe answers while the batch is still pending.
+  // Hold the scheduler inside one run so a second batch stays queued, then
+  // show a stats probe answers while that batch is still pending.
   server::ServerConfig cfg = config("stats-busy.sock");
-  cfg.coalesce_min = 2;  // scheduler waits for a second batch that never comes
-  server::Server srv(machine::make_power5_hydra(), cfg, cheap_setup(),
-                     &only_lu);
+  SchedulerGate gate;
+  server::Server srv(machine::make_power5_hydra(), cfg,
+                     gate.around(cheap_setup()), &only_lu);
+  SchedulerGate::Release release{gate};
   srv.start();
-  std::thread rider([&] {
+  const auto send = [&] {
     server::Client client(*dir_ / "stats-busy.sock");
     (void)client.call(lu_request(8, 16));
-  });
-  // Wait until the batch is queued (the scheduler is holding out for more).
+  };
+  std::thread running(send);
+  ASSERT_TRUE(eventually([&] { return gate.parked(); }));
+  std::thread rider(send);
   ASSERT_TRUE(eventually([&] { return srv.queue_depth() == 1; }));
   server::Client probe(*dir_ / "stats-busy.sock");
   const server::StatsReport report = server::decode_stats_report(
       probe.call_raw(server::encode_stats_request(server::StatsKind::kStats)));
   EXPECT_EQ(report.queue_depth, 1u);  // answered while work sat queued
-  srv.request_stop();  // drain cuts coalesce_min short and serves the rider
+  EXPECT_EQ(report.inflight_batches, 1u);
+  srv.request_stop();
+  gate.open();  // the drain serves the running batch and the rider
+  running.join();
   rider.join();
   srv.wait();
 }
@@ -856,11 +979,6 @@ TEST_F(ServerTest, ConstructorRejectsBadConfiguration) {
   EXPECT_THROW(server::Server(machine::make_power5_hydra(), cfg, nullptr),
                Error);
   cfg.max_queue = 0;
-  EXPECT_THROW(server::Server(machine::make_power5_hydra(), cfg,
-                              cheap_setup()),
-               Error);
-  cfg.max_queue = 64;
-  cfg.coalesce_min = 0;
   EXPECT_THROW(server::Server(machine::make_power5_hydra(), cfg,
                               cheap_setup()),
                Error);

@@ -107,10 +107,10 @@ later runs (a warm run performs no simulation).  --cache-dir-max-bytes caps
 the disk tier; past the cap the oldest artifact files are evicted.
 
 `serve` runs a long-lived projection daemon on a Unix-domain socket; it owns
-the artifact cache and coalesces concurrently queued requests into one
-planned batch, so shared artifacts and GA surrogate searches are deduplicated
-across clients.  SIGINT/SIGTERM drain in-flight work before exiting.
-Metrics recording stays on, and exact, for the daemon's whole life.
+the artifact cache and runs each request alone against it, so artifacts and
+GA surrogate searches one request computed are reused by later ones.
+SIGINT/SIGTERM drain in-flight work before exiting.  Metrics recording stays
+on, and exact, for the daemon's whole life.
 
 `stats --socket PATH` queries a running server's introspection endpoint:
 uptime, queue depth, in-flight work, and per-request latency quantiles over
@@ -509,19 +509,13 @@ int cmd_batch(const std::map<std::string, std::string>& flags) {
       read_batch_file(need(flags, "requests"));
 
   // --- configure the service ----------------------------------------------
-  std::vector<machine::Machine> targets;
-  for (const service::BatchRow& row : rows) {
-    bool known = false;
-    for (const machine::Machine& t : targets) known |= t.name == row.target;
-    if (!known) targets.push_back(machine::machine_by_name(row.target));
-  }
   service::ServiceConfig config;
   if (flags.count("cache-dir")) config.cache_dir = flags.at("cache-dir");
   if (flags.count("cache-dir-max-bytes")) {
     config.cache_dir_max_bytes =
         server::parse_byte_size(flags.at("cache-dir-max-bytes"));
   }
-  service::ProjectionService svc(base, targets, config);
+  service::ProjectionService svc(base, service::row_targets(rows), config);
   install_spec_collector(svc);
   try {
     register_row_apps(svc, rows);
@@ -661,8 +655,7 @@ int cmd_sweep(const std::map<std::string, std::string>& flags) {
 
   if (flags.count("socket")) {
     // Served path: forward the canonical spec document; the daemon expands,
-    // plans, and executes it against its resident cache, coalesced with the
-    // batches around it.
+    // plans, and executes it against its resident cache.
     std::ostringstream payload;
     sweep::write_sweep_spec(payload, spec);
     server::Client client(flags.at("socket"));
