@@ -14,7 +14,8 @@ namespace swapp::service {
 std::shared_ptr<ArtifactCache> make_cache(const CacheConfig& config) {
   if (config.shared_cache) return config.shared_cache;
   return std::make_shared<ArtifactCache>(
-      config.cache_dir, config.cache_capacity, config.cache_dir_max_bytes);
+      config.cache_dir, ArtifactCache::kDefaultCapacity,
+      config.cache_dir_max_bytes);
 }
 
 bool Inputs::Report::warm() const {
