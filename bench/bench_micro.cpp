@@ -57,12 +57,17 @@ const GaSuite& ga_suite() {
   return *suite;
 }
 
+// Arg = resumes dispatched per run: 16 processes, each advancing Arg/16
+// times, so the queue holds 16 events at a time as it does for a small World.
 void BM_EngineEventDispatch(benchmark::State& state) {
+  constexpr int kProcesses = 16;
+  const int steps = static_cast<int>(state.range(0)) / kProcesses;
   for (auto _ : state) {
     sim::Engine engine;
-    const int n = static_cast<int>(state.range(0));
-    for (int i = 0; i < n; ++i) {
-      engine.schedule_at(static_cast<double>(i) * 1e-6, [] {});
+    for (int i = 0; i < kProcesses; ++i) {
+      engine.spawn("p" + std::to_string(i), [steps](sim::Process& p) {
+        for (int k = 0; k < steps; ++k) p.advance(1e-6);
+      });
     }
     engine.run();
     benchmark::DoNotOptimize(engine.now());
@@ -70,6 +75,18 @@ void BM_EngineEventDispatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_EngineEventDispatch)->Arg(1 << 10)->Arg(1 << 14);
+
+// One whole IMB database for the base machine on one thread: the per-database
+// cost that perfbench's imb.measure_s / imb.databases reports on the cold path.
+void BM_ImbDatabase(benchmark::State& state) {
+  const machine::Machine m = machine::make_power5_hydra();
+  set_thread_count(1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(imb::measure_database(m).tables.size());
+  }
+  set_thread_count(0);
+}
+BENCHMARK(BM_ImbDatabase)->Unit(benchmark::kMillisecond);
 
 void BM_FiberSwitch(benchmark::State& state) {
   sim::Fiber fiber([] {

@@ -20,11 +20,7 @@ void Process::advance(Seconds dt) {
   if (dt == 0.0) return;
   blocked_ = true;
   resume_scheduled_ = true;
-  engine_.schedule_in(dt, [this] {
-    blocked_ = false;
-    resume_scheduled_ = false;
-    fiber_->resume();
-  });
+  engine_.schedule(engine_.now() + dt, *this);
   Fiber::yield();
 }
 
@@ -40,43 +36,37 @@ void Process::unblock_at(Seconds when) {
   SWAPP_ASSERT(blocked_, "unblock_at() on a process that is not blocked");
   SWAPP_ASSERT(!resume_scheduled_, "process already scheduled to resume");
   resume_scheduled_ = true;
-  const Seconds t = std::max(when, engine_.now());
-  engine_.schedule_at(t, [this] {
-    blocked_ = false;
-    resume_scheduled_ = false;
-    fiber_->resume();
-  });
+  engine_.schedule(std::max(when, engine_.now()), *this);
 }
 
-void Engine::schedule_at(Seconds when, std::function<void()> fn) {
+void Engine::schedule(Seconds when, Process& proc) {
   SWAPP_REQUIRE(when >= now_, "cannot schedule an event in the past");
-  queue_.push(Event{when, next_seq_++, std::move(fn)});
-}
-
-void Engine::schedule_in(Seconds dt, std::function<void()> fn) {
-  schedule_at(now_ + dt, std::move(fn));
+  queue_.push(Event{when, next_seq_++, &proc});
 }
 
 Process& Engine::spawn(std::string name, std::function<void(Process&)> body,
                        Seconds start, std::size_t stack_bytes) {
+  SWAPP_REQUIRE(start >= now_, "cannot start a process in the past");
   auto proc = std::unique_ptr<Process>(new Process(
       *this, static_cast<std::uint32_t>(processes_.size()), std::move(name),
       std::move(body), stack_bytes));
   Process& ref = *proc;
   processes_.push_back(std::move(proc));
-  schedule_at(start, [&ref] { ref.fiber_->resume(); });
+  schedule(start, ref);
   return ref;
 }
 
 void Engine::run() {
   while (!queue_.empty()) {
-    // Copy out before pop: fn may schedule further events.
-    Event ev = queue_.top();
+    // Copy out before pop: the resumed process may schedule further events.
+    const Event ev = queue_.top();
     queue_.pop();
     SWAPP_ASSERT(ev.time >= now_, "event queue delivered a past event");
     now_ = ev.time;
-    ++dispatched_;
-    ev.fn();
+    Process& proc = *ev.proc;
+    proc.blocked_ = false;
+    proc.resume_scheduled_ = false;
+    proc.fiber_->resume();
   }
   if (live_process_count() > 0) {
     std::string stuck;

@@ -1,10 +1,11 @@
 // Deterministic discrete-event simulation engine.
 //
-// The engine owns a virtual clock and a time-ordered event queue with
-// FIFO tie-breaking (events at equal timestamps fire in insertion order), so
+// The engine owns a virtual clock and a queue of events of one kind: a
+// process resume, ordered by (time, seq) where seq is the insertion count,
+// so resumes at equal timestamps fire in the order they were scheduled and
 // every simulation is exactly reproducible.  Simulated processes (MPI ranks,
-// benchmark drivers) run on fibers and interact with the clock through
-// Process::advance / block / unblock_at.
+// benchmark drivers) run on fibers and schedule their resumes through
+// Engine::spawn and Process::advance / block / unblock_at.
 #pragma once
 
 #include <cstdint>
@@ -73,14 +74,9 @@ class Engine {
   /// Current simulation time in seconds.
   Seconds now() const noexcept { return now_; }
 
-  /// Schedules `fn` to run at absolute time `when` (>= now).
-  void schedule_at(Seconds when, std::function<void()> fn);
-
-  /// Schedules `fn` to run `dt` seconds from now.
-  void schedule_in(Seconds dt, std::function<void()> fn);
-
-  /// Creates a process whose body starts executing at time `start`.
-  /// The returned pointer stays valid for the engine's lifetime.
+  /// Creates a process whose body starts executing at time `start`
+  /// (>= now, else InvalidArgument).  The returned reference stays valid for
+  /// the engine's lifetime.
   Process& spawn(std::string name, std::function<void(Process&)> body,
                  Seconds start = 0.0,
                  std::size_t stack_bytes = Fiber::kDefaultStackBytes);
@@ -93,14 +89,14 @@ class Engine {
   /// Number of processes that have not finished their body.
   std::size_t live_process_count() const noexcept;
 
-  /// Total events dispatched so far (for micro-benchmarks and tests).
-  std::uint64_t events_dispatched() const noexcept { return dispatched_; }
-
  private:
+  friend class Process;
+
+  /// Resumes `proc` at `time`; `seq` breaks ties in scheduling order.
   struct Event {
     Seconds time;
     std::uint64_t seq;
-    std::function<void()> fn;
+    Process* proc;
   };
   struct EventOrder {
     bool operator()(const Event& a, const Event& b) const noexcept {
@@ -109,11 +105,11 @@ class Engine {
     }
   };
 
-  void resume_process(Process& p);
+  /// Queues a resume of `proc` at absolute time `when` (>= now).
+  void schedule(Seconds when, Process& proc);
 
   Seconds now_ = 0.0;
   std::uint64_t next_seq_ = 0;
-  std::uint64_t dispatched_ = 0;
   std::priority_queue<Event, std::vector<Event>, EventOrder> queue_;
   std::vector<std::unique_ptr<Process>> processes_;
 };

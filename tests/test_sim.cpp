@@ -207,30 +207,75 @@ TEST(Fiber, FibersRunOnSeveralPoolThreadsAtOnce) {
 TEST(Engine, EventsFireInTimeOrder) {
   Engine e;
   std::vector<int> order;
-  e.schedule_at(2.0, [&] { order.push_back(2); });
-  e.schedule_at(1.0, [&] { order.push_back(1); });
-  e.schedule_at(3.0, [&] { order.push_back(3); });
+  e.spawn("b", [&](Process& p) {
+    order.push_back(2);
+    p.advance(2.0);
+    order.push_back(4);
+  }, 2.0);
+  e.spawn("a", [&](Process&) { order.push_back(1); }, 1.0);
+  e.spawn("c", [&](Process&) { order.push_back(3); }, 3.0);
   e.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  EXPECT_DOUBLE_EQ(e.now(), 3.0);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_DOUBLE_EQ(e.now(), 4.0);
 }
 
 TEST(Engine, EqualTimestampsFireFifo) {
+  // Eight processes start at one timestamp in a shuffled label order, then
+  // each advances to a second shared timestamp: both times they resume in
+  // the order their resumes were scheduled, not by label or id.
+  const std::vector<int> labels = {5, 2, 7, 0, 3, 6, 1, 4};
   Engine e;
   std::vector<int> order;
-  for (int i = 0; i < 8; ++i) {
-    e.schedule_at(1.0, [&, i] { order.push_back(i); });
+  for (const int label : labels) {
+    e.spawn("p" + std::to_string(label), [&order, label](Process& p) {
+      order.push_back(label);
+      p.advance(1.0);
+      order.push_back(label);
+    }, 1.0);
   }
   e.run();
-  for (int i = 0; i < 8; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
+  std::vector<int> expected = labels;
+  expected.insert(expected.end(), labels.begin(), labels.end());
+  EXPECT_EQ(order, expected);
+  EXPECT_DOUBLE_EQ(e.now(), 2.0);
 }
 
 TEST(Engine, RejectsPastEvents) {
   Engine e;
-  e.schedule_at(5.0, [&] {
-    EXPECT_THROW(e.schedule_at(1.0, [] {}), InvalidArgument);
+  bool late_ran = false;
+  e.spawn("p", [&](Process& p) {
+    EXPECT_THROW(e.spawn("late", [&](Process&) { late_ran = true; }, 1.0),
+                 InvalidArgument);
+    EXPECT_THROW(p.advance(-1.0), InvalidArgument);
+  }, 5.0);
+  e.run();
+  EXPECT_FALSE(late_ran);
+  EXPECT_EQ(e.live_process_count(), 0u);
+}
+
+TEST(Engine, UnblocksAtOneTimestampResumeInCallOrder) {
+  constexpr int kWaiters = 64;
+  Engine e;
+  std::vector<Process*> waiters;
+  std::vector<int> resumed;
+  for (int i = 0; i < kWaiters; ++i) {
+    waiters.push_back(&e.spawn("w" + std::to_string(i), [&resumed, i](Process& p) {
+      EXPECT_DOUBLE_EQ(p.block(), 1.0);
+      resumed.push_back(i);
+    }));
+  }
+  std::vector<int> calls;
+  e.spawn("waker", [&](Process&) {
+    // 37 is coprime with 64, so this visits every waiter once, shuffled.
+    for (int k = 0; k < kWaiters; ++k) {
+      const int i = (k * 37) % kWaiters;
+      calls.push_back(i);
+      waiters[static_cast<std::size_t>(i)]->unblock_at(1.0);
+    }
   });
   e.run();
+  EXPECT_EQ(resumed, calls);
+  EXPECT_DOUBLE_EQ(e.now(), 1.0);
 }
 
 TEST(Engine, ProcessAdvancesClock) {
