@@ -71,7 +71,7 @@ void RankCtx::recv(int src, Bytes bytes, int tag) {
   world_->await_requests(rank_, ids);
   World::RankState& s = world_->states_[rank_];
   s.proc->advance(world_->machine_.mpi.recv_overhead);
-  s.requests.erase(id);
+  s.erase_request(id);
   world_->call_end(rank_, Routine::kRecv, bytes, call);
 }
 
@@ -85,8 +85,8 @@ void RankCtx::sendrecv(int dst, Bytes send_bytes, int src, Bytes recv_bytes,
   world_->await_requests(rank_, ids);
   World::RankState& s = world_->states_[rank_];
   s.proc->advance(world_->machine_.mpi.recv_overhead);
-  s.requests.erase(rid);
-  s.requests.erase(sid);
+  s.erase_request(rid);
+  s.erase_request(sid);
   world_->call_end(rank_, Routine::kSendrecv, std::max(send_bytes, recv_bytes),
                    call);
 }
@@ -115,19 +115,19 @@ void RankCtx::waitall(std::span<const Request> requests) {
   double distance_weighted = 0.0;
   int recvs = 0;
   for (const Request& r : requests) {
-    const auto it = s.requests.find(r.id);
-    SWAPP_REQUIRE(it != s.requests.end(), "waitall on unknown request");
+    const World::RequestState* req = s.find_request(r.id);
+    SWAPP_REQUIRE(req != nullptr, "waitall on unknown request");
     ids.push_back(r.id);
-    total_bytes += it->second.bytes;
-    distance_weighted += static_cast<double>(it->second.bytes) *
-                         std::abs(it->second.peer - rank_);
-    if (it->second.is_recv) ++recvs;
+    total_bytes += req->bytes;
+    distance_weighted +=
+        static_cast<double>(req->bytes) * std::abs(req->peer - rank_);
+    if (req->is_recv) ++recvs;
   }
   world_->await_requests(rank_, ids);
   // Per-request completion bookkeeping (request finalisation, status copy).
   s.proc->advance(static_cast<double>(ids.size()) *
                   world_->machine_.mpi.nonblocking_post_overhead);
-  for (const std::uint64_t id : ids) s.requests.erase(id);
+  for (const std::uint64_t id : ids) s.erase_request(id);
   // Bucket by the mean outstanding-message size: the multi-Sendrecv model
   // prices x messages of this size, which matches a mixed-size exchange
   // because transfer cost is near-linear in bytes.
@@ -249,26 +249,44 @@ Seconds World::dispatch(int src, int dst, Bytes bytes, Seconds ready) {
   return depart + serialisation + path_latency(src, dst);
 }
 
+World::RequestState* World::RankState::find_request(std::uint64_t id) {
+  for (RequestState& r : requests) {
+    if (r.id == id) return &r;
+  }
+  return nullptr;
+}
+
+void World::RankState::erase_request(std::uint64_t id) {
+  for (RequestState& r : requests) {
+    if (r.id == id) {
+      r = requests.back();
+      requests.pop_back();
+      return;
+    }
+  }
+}
+
 std::uint64_t World::new_request(int owner, Bytes bytes, int peer,
                                  bool is_recv) {
   const std::uint64_t id = next_request_id_++;
-  states_[static_cast<std::size_t>(owner)].requests.emplace(
-      id, RequestState{.determined = false,
-                       .complete_time = 0.0,
-                       .bytes = bytes,
-                       .peer = peer,
-                       .is_recv = is_recv});
+  states_[static_cast<std::size_t>(owner)].requests.push_back(
+      RequestState{.id = id,
+                   .determined = false,
+                   .complete_time = 0.0,
+                   .bytes = bytes,
+                   .peer = peer,
+                   .is_recv = is_recv});
   return id;
 }
 
 void World::determine(int owner, std::uint64_t request_id,
                       Seconds complete_time) {
-  auto& requests = states_[static_cast<std::size_t>(owner)].requests;
-  const auto it = requests.find(request_id);
-  SWAPP_ASSERT(it != requests.end(), "determine() on unknown request");
-  SWAPP_ASSERT(!it->second.determined, "request determined twice");
-  it->second.determined = true;
-  it->second.complete_time = complete_time;
+  RequestState* req =
+      states_[static_cast<std::size_t>(owner)].find_request(request_id);
+  SWAPP_ASSERT(req != nullptr, "determine() on unknown request");
+  SWAPP_ASSERT(!req->determined, "request determined twice");
+  req->determined = true;
+  req->complete_time = complete_time;
 }
 
 void World::maybe_wake(int owner) {
@@ -276,10 +294,10 @@ void World::maybe_wake(int owner) {
   if (s.wait_kind != WaitKind::kBlocked) return;
   Seconds latest = engine_.now();
   for (const std::uint64_t id : s.waiting_on) {
-    const auto it = s.requests.find(id);
-    SWAPP_ASSERT(it != s.requests.end(), "waiting on unknown request");
-    if (!it->second.determined) return;  // still incomplete
-    latest = std::max(latest, it->second.complete_time);
+    const RequestState* req = s.find_request(id);
+    SWAPP_ASSERT(req != nullptr, "waiting on unknown request");
+    if (!req->determined) return;  // still incomplete
+    latest = std::max(latest, req->complete_time);
   }
   s.wait_kind = WaitKind::kNone;
   s.waiting_on.clear();
@@ -292,13 +310,13 @@ Seconds World::await_requests(int rank, std::span<const std::uint64_t> ids) {
     bool all_determined = true;
     Seconds latest = engine_.now();
     for (const std::uint64_t id : ids) {
-      const auto it = s.requests.find(id);
-      SWAPP_ASSERT(it != s.requests.end(), "await on unknown request");
-      if (!it->second.determined) {
+      const RequestState* req = s.find_request(id);
+      SWAPP_ASSERT(req != nullptr, "await on unknown request");
+      if (!req->determined) {
         all_determined = false;
         break;
       }
-      latest = std::max(latest, it->second.complete_time);
+      latest = std::max(latest, req->complete_time);
     }
     if (all_determined) {
       if (latest > engine_.now()) s.proc->advance(latest - engine_.now());
@@ -371,7 +389,7 @@ std::uint64_t World::isend_impl(int src, int dst, Bytes bytes, int tag,
   if (blocking) {
     const std::uint64_t ids[] = {req};
     await_requests(src, ids);
-    s.requests.erase(req);
+    s.erase_request(req);
   }
   return req;
 }

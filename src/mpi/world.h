@@ -20,13 +20,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "machine/counters.h"
@@ -126,6 +124,7 @@ class World {
 
   // --- matching state --------------------------------------------------------
   struct RequestState {
+    std::uint64_t id = 0;
     bool determined = false;  ///< completion time is known
     Seconds complete_time = 0.0;
     Bytes bytes = 0;
@@ -155,10 +154,13 @@ class World {
   enum class WaitKind { kNone, kBlocked };
   struct RankState {
     sim::Process* proc = nullptr;
-    std::deque<PendingMessage> unexpected;
-    std::deque<PostedRecv> posted;
-    std::deque<PendingRendezvous> rendezvous;
-    std::unordered_map<std::uint64_t, RequestState> requests;
+    // Matching queues, scanned front to back and erased in place.
+    std::vector<PendingMessage> unexpected;
+    std::vector<PostedRecv> posted;
+    std::vector<PendingRendezvous> rendezvous;
+    /// Outstanding requests, in no particular order.  A rank holds only a
+    /// handful at a time, so a linear scan finds one.
+    std::vector<RequestState> requests;
     WaitKind wait_kind = WaitKind::kNone;
     std::vector<std::uint64_t> waiting_on;
     // profiling
@@ -168,6 +170,11 @@ class World {
     Seconds finish_time = 0.0;
     int next_collective = 0;
     std::uint64_t compute_calls = 0;
+
+    /// The outstanding request `id`, or nullptr when there is none.
+    RequestState* find_request(std::uint64_t id);
+    /// Drops request `id` if it is outstanding.
+    void erase_request(std::uint64_t id);
   };
   struct CollectiveSlot {
     Routine routine = Routine::kBarrier;

@@ -7,6 +7,7 @@
 #include "machine/machine.h"
 #include "mpi/collectives.h"
 #include "mpi/world.h"
+#include "support/error.h"
 
 namespace swapp::mpi {
 namespace {
@@ -285,6 +286,48 @@ TEST(MpiWorld, WaitallRecordsPeerDistance) {
   });
   const auto& wa = world.profile().routines.at(Routine::kWaitall);
   EXPECT_NEAR(wa.by_size.begin()->second.avg_rank_distance, 1.0, 1e-9);
+}
+
+TEST(MpiWorld, WaitallOverManyOutstandingRequests) {
+  // Each rank holds 64 outstanding requests (32 receives, 32 sends, every
+  // tag distinct) and waits on them in reverse post order.
+  constexpr int kPerKind = 32;
+  constexpr Bytes kBytes = 1024;
+  World world(test_machine(), 2);
+  bool rejected_completed = false;
+  world.run([&](RankCtx& ctx) {
+    const int peer = 1 - ctx.rank();
+    const int recv_base = ctx.rank() == 0 ? 0 : kPerKind;
+    const int send_base = ctx.rank() == 0 ? kPerKind : 0;
+    std::vector<Request> reqs;
+    for (int i = 0; i < kPerKind; ++i) {
+      reqs.push_back(ctx.irecv(peer, kBytes, recv_base + i));
+    }
+    for (int i = 0; i < kPerKind; ++i) {
+      reqs.push_back(ctx.isend(peer, kBytes, send_base + i));
+    }
+    const std::vector<Request> reversed(reqs.rbegin(), reqs.rend());
+    ctx.waitall(reversed);
+    if (ctx.rank() == 0) {
+      const std::array<Request, 1> done = {reqs.front()};
+      EXPECT_THROW(ctx.waitall(done), InvalidArgument);
+      rejected_completed = true;
+    }
+  });
+  EXPECT_TRUE(rejected_completed);
+  const auto& wa = world.profile().routines.at(Routine::kWaitall);
+  EXPECT_EQ(wa.total_calls, 2u);
+  ASSERT_EQ(wa.by_size.size(), 1u);
+  const SizeBucket& bucket = wa.by_size.begin()->second;
+  EXPECT_EQ(bucket.bytes, kBytes);
+  EXPECT_EQ(bucket.calls, 2u);
+  EXPECT_NEAR(bucket.avg_in_flight, kPerKind, 1e-9);
+  EXPECT_NEAR(bucket.avg_rank_distance, 1.0, 1e-9);
+  EXPECT_GT(bucket.elapsed, 0.0);
+  EXPECT_EQ(world.profile().routines.at(Routine::kIrecv).total_calls,
+            2u * kPerKind);
+  EXPECT_EQ(world.profile().routines.at(Routine::kIsend).total_calls,
+            2u * kPerKind);
 }
 
 TEST(MpiWorld, EmptyWaitallIsHarmless) {
