@@ -259,10 +259,11 @@ TEST(Engine, UnblocksAtOneTimestampResumeInCallOrder) {
   std::vector<Process*> waiters;
   std::vector<int> resumed;
   for (int i = 0; i < kWaiters; ++i) {
-    waiters.push_back(&e.spawn("w" + std::to_string(i), [&resumed, i](Process& p) {
-      EXPECT_DOUBLE_EQ(p.block(), 1.0);
-      resumed.push_back(i);
-    }));
+    waiters.push_back(
+        &e.spawn("w" + std::to_string(i), [&resumed, i](Process& p) {
+          EXPECT_DOUBLE_EQ(p.block(), 1.0);
+          resumed.push_back(i);
+        }));
   }
   std::vector<int> calls;
   e.spawn("waker", [&](Process&) {
