@@ -88,6 +88,19 @@ void BM_ImbDatabase(benchmark::State& state) {
 }
 BENCHMARK(BM_ImbDatabase)->Unit(benchmark::kMillisecond);
 
+// Back-to-back Worlds whose Arg ranks only meet at one barrier: the cost of
+// spawning and retiring a World's fibers and their stacks.
+void BM_WorldSpawn(benchmark::State& state) {
+  const machine::Machine m = machine::make_power5_hydra();
+  const int ranks = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    mpi::World world(m, ranks);
+    world.run([](mpi::RankCtx& ctx) { ctx.barrier(); });
+    benchmark::DoNotOptimize(world.wall_time());
+  }
+}
+BENCHMARK(BM_WorldSpawn)->Arg(128);
+
 void BM_FiberSwitch(benchmark::State& state) {
   sim::Fiber fiber([] {
     while (true) sim::Fiber::yield();

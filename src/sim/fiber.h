@@ -32,10 +32,17 @@ namespace swapp::sim {
 /// thread-safe: the whole simulation is single-threaded by design.
 class Fiber {
  public:
-  /// Default stack: generous enough for the deepest simulated call chains
-  /// (collective algorithms recursing over log2(ranks) levels).
+  /// Default stack.  Collectives are analytic, so no simulated call chain
+  /// recurses: the deepest fiber frame measured over a cold projection
+  /// batch is 3.6 KB, and a page-aligned top keeps it to one touched page.
+  /// Every stack is mapped above a PROT_NONE guard page, so an overflow
+  /// faults instead of writing into other memory.  Each thread keeps up to
+  /// 128 released default-size stacks (one 128-rank World) for its next
+  /// fibers; other sizes are mapped and unmapped every time.
   static constexpr std::size_t kDefaultStackBytes = 256 * 1024;
 
+  /// Throws InvalidArgument for a stack under 16 KiB or too large to map,
+  /// and std::system_error if the stack cannot be mapped.
   explicit Fiber(std::function<void()> body,
                  std::size_t stack_bytes = kDefaultStackBytes);
   ~Fiber();
@@ -70,9 +77,15 @@ class Fiber {
   void switch_in();
   void switch_out();
 
+  /// Returns a mapped stack of `bytes` to the thread's pool or unmaps it.
+  struct StackRelease {
+    std::size_t bytes = 0;
+    void operator()(char* stack) const noexcept;
+  };
+
   std::function<void()> body_;
-  std::size_t stack_bytes_;
-  std::unique_ptr<char[]> stack_;
+  std::size_t stack_bytes_;  ///< whole pages
+  std::unique_ptr<char, StackRelease> stack_;  ///< lowest usable address
 #ifdef SWAPP_FIBER_ASM_SWITCH
   void* sp_ = nullptr;         ///< the fiber's saved stack pointer
   void* return_sp_ = nullptr;  ///< the scheduler's, while the fiber runs
