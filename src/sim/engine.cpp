@@ -41,7 +41,15 @@ void Process::unblock_at(Seconds when) {
 
 void Engine::schedule(Seconds when, Process& proc) {
   SWAPP_REQUIRE(when >= now_, "cannot schedule an event in the past");
-  queue_.push(Event{when, next_seq_++, &proc});
+  proc.next_in_run_ = nullptr;
+  if (newest_tail_ != nullptr && when == newest_time_) {
+    newest_tail_->next_in_run_ = &proc;
+  } else {
+    queue_.push_back(Run{when, next_seq_++, &proc});
+    std::push_heap(queue_.begin(), queue_.end(), RunOrder{});
+    newest_time_ = when;
+  }
+  newest_tail_ = &proc;
 }
 
 Process& Engine::spawn(std::string name, std::function<void(Process&)> body,
@@ -58,12 +66,19 @@ Process& Engine::spawn(std::string name, std::function<void(Process&)> body,
 
 void Engine::run() {
   while (!queue_.empty()) {
-    // Copy out before pop: the resumed process may schedule further events.
-    const Event ev = queue_.top();
-    queue_.pop();
-    SWAPP_ASSERT(ev.time >= now_, "event queue delivered a past event");
-    now_ = ev.time;
-    Process& proc = *ev.proc;
+    // Take the first run's head before resuming it: the resumed process may
+    // schedule further resumes, into this run too.
+    Run& run = queue_.front();
+    SWAPP_ASSERT(run.time >= now_, "event queue delivered a past event");
+    now_ = run.time;
+    Process& proc = *run.head;
+    if (proc.next_in_run_ != nullptr) {
+      run.head = proc.next_in_run_;
+    } else {
+      std::pop_heap(queue_.begin(), queue_.end(), RunOrder{});
+      queue_.pop_back();
+      if (newest_tail_ == &proc) newest_tail_ = nullptr;
+    }
     proc.blocked_ = false;
     proc.resume_scheduled_ = false;
     proc.fiber_->resume();

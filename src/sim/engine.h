@@ -1,17 +1,26 @@
 // Deterministic discrete-event simulation engine.
 //
 // The engine owns a virtual clock and a queue of events of one kind: a
-// process resume, ordered by (time, seq) where seq is the insertion count,
-// so resumes at equal timestamps fire in the order they were scheduled and
-// every simulation is exactly reproducible.  Simulated processes (MPI ranks,
+// process resume.  Resumes fire in (time, scheduling order), so resumes at
+// equal timestamps fire in the order they were scheduled and every
+// simulation is exactly reproducible.  Simulated processes (MPI ranks,
 // benchmark drivers) run on fibers and schedule their resumes through
 // Engine::spawn and Process::advance / block / unblock_at.
+//
+// Most resumes carry the same time as the one scheduled just before them (a
+// barrier or a matched exchange wakes many ranks at one instant), so the
+// queue holds runs: a run is back-to-back resumes at one time, chained
+// through the processes themselves.  A resume at the time of the newest run
+// still queued joins that run; any other opens a new run.  A binary heap
+// orders the runs by (time, the order they were opened), and a pop takes the
+// first run's head.  Runs cut the scheduling sequence into contiguous
+// pieces, so this is exactly (time, scheduling order), and the queue never
+// holds more than one entry per process.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <string>
 #include <vector>
 
@@ -62,6 +71,7 @@ class Process {
   std::unique_ptr<Fiber> fiber_;
   bool blocked_ = false;
   bool resume_scheduled_ = false;
+  Process* next_in_run_ = nullptr;  ///< next resume of this one's run
 };
 
 /// The simulation engine: clock + event queue + process table.
@@ -92,16 +102,18 @@ class Engine {
  private:
   friend class Process;
 
-  /// Resumes `proc` at `time`; `seq` breaks ties in scheduling order.
-  struct Event {
+  /// Resumes `head` and the processes chained after it at `time`; `seq`,
+  /// the order runs were opened, breaks ties between runs.
+  struct Run {
     Seconds time;
     std::uint64_t seq;
-    Process* proc;
+    Process* head;
   };
-  struct EventOrder {
-    bool operator()(const Event& a, const Event& b) const noexcept {
+  /// Heap order: the run to fire first compares greatest.
+  struct RunOrder {
+    bool operator()(const Run& a, const Run& b) const noexcept {
       if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;  // FIFO within a timestamp
+      return a.seq > b.seq;
     }
   };
 
@@ -110,7 +122,11 @@ class Engine {
 
   Seconds now_ = 0.0;
   std::uint64_t next_seq_ = 0;
-  std::priority_queue<Event, std::vector<Event>, EventOrder> queue_;
+  std::vector<Run> queue_;  ///< a binary heap under RunOrder
+  /// Last process of the newest run while that run is queued, else null,
+  /// and the newest run's time.
+  Process* newest_tail_ = nullptr;
+  Seconds newest_time_ = 0.0;
   std::vector<std::unique_ptr<Process>> processes_;
 };
 
