@@ -54,10 +54,6 @@ struct ProjectionResult {
   Seconds total_target() const {
     return compute.target_compute + comm.target_total();
   }
-  /// The application's base-machine total at the same count (diagnostics).
-  Seconds total_base() const {
-    return compute.base_compute + comm.base_total();
-  }
 };
 
 /// One row of a batched projection (the service's request unit): project

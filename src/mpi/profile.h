@@ -36,10 +36,6 @@ struct SizeBucket {
   /// how the projection splits traffic between the intra- and inter-node
   /// benchmark tables.
   double avg_rank_distance = 1.0;
-
-  Seconds mean_elapsed() const {
-    return calls == 0 ? 0.0 : elapsed / static_cast<double>(calls);
-  }
 };
 
 /// All activity of one routine, aggregated over ranks.

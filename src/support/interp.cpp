@@ -23,16 +23,6 @@ LogLogInterpolator::LogLogInterpolator(std::span<const double> x,
   }
 }
 
-double LogLogInterpolator::min_x() const {
-  SWAPP_REQUIRE(!empty(), "empty interpolator");
-  return std::exp(lx_.front());
-}
-
-double LogLogInterpolator::max_x() const {
-  SWAPP_REQUIRE(!empty(), "empty interpolator");
-  return std::exp(lx_.back());
-}
-
 double LogLogInterpolator::operator()(double x) const {
   SWAPP_REQUIRE(!empty(), "lookup in empty interpolator");
   SWAPP_REQUIRE(x > 0.0, "interpolator lookup needs positive x");

@@ -25,8 +25,6 @@ class LogLogInterpolator {
   LogLogInterpolator(std::span<const double> x, std::span<const double> y);
 
   bool empty() const noexcept { return lx_.empty(); }
-  double min_x() const;
-  double max_x() const;
 
   /// Interpolated (or extrapolated) value at `x` (> 0).
   double operator()(double x) const;
